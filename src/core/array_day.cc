@@ -19,29 +19,22 @@ StatusOr<DayMetrics> ArrayDayRunner::RunMeasuredDay() {
   const Micros end = start + config_.day_length;
 
   const std::int64_t barriers_before = dev.barriers();
+  const double stall_before = dev.barrier_stall_wall();
+  const double merge_before = dev.barrier_merge_wall();
 
   // Chunks are day-relative durations, so every configuration sees the
   // identical per-day request sequence; only the absolute start shifts.
   // Under an adaptive device, quiet stretches batch several chunks into
-  // one submit-and-advance window (the device's submit horizon proves the
-  // batched routing bit-identical); generation itself always stays on the
-  // chunk grid so the request sequence cannot depend on the windowing.
+  // one window (the device's submit horizon proves the batched routing
+  // bit-identical); generation itself always stays on the chunk grid so
+  // the request sequence cannot depend on the windowing.
   const bool adaptive = dev.config().adaptive_epoch;
+  const bool raid0 = dev.level() == array::RaidLevel::kRaid0;
   const std::int32_t max_chunks =
       std::max<std::int32_t>(1, dev.config().max_epoch_grids);
-  Micros cur = start;
-  while (cur < end) {
-    Micros cur_end = std::min(end, cur + config_.chunk);
-    if (adaptive) {
-      const Micros horizon = dev.PlanSubmitHorizon(end);
-      for (std::int32_t k = 1; k < max_chunks && cur_end < end; ++k) {
-        const Micros next = std::min(end, cur_end + config_.chunk);
-        if (next > horizon) break;
-        cur_end = next;
-      }
-    }
-    for (Micros piece = cur; piece < cur_end;) {
-      const Micros piece_end = std::min(cur_end, piece + config_.chunk);
+  auto submit_pieces = [&](Micros from, Micros to) -> Status {
+    for (Micros piece = from; piece < to;) {
+      const Micros piece_end = std::min(to, piece + config_.chunk);
       trace_.Clear();
       workload_.Generate(piece, piece_end, trace_);
       requests_ += static_cast<std::int64_t>(trace_.size());
@@ -49,7 +42,34 @@ StatusOr<DayMetrics> ArrayDayRunner::RunMeasuredDay() {
           dev.SubmitBatch(trace_.records().data(), trace_.size()));
       piece = piece_end;
     }
-    ABR_RETURN_IF_ERROR(dev.AdvanceTo(cur_end));
+    return Status::Ok();
+  };
+  Micros cur = start;
+  while (cur < end) {
+    Micros cur_end = std::min(end, cur + config_.chunk);
+    Micros horizon = cur;
+    if (adaptive) {
+      horizon = dev.PlanSubmitHorizon(end);
+      for (std::int32_t k = 1; k < max_chunks && cur_end < end; ++k) {
+        const Micros next = std::min(end, cur_end + config_.chunk);
+        if (next > horizon) break;
+        cur_end = next;
+      }
+    }
+    if (raid0 && cur_end <= horizon && dev.PlanStepEnd(cur_end) == cur_end) {
+      // One step covers the window and no member can die inside it:
+      // stream it. The members step the early grids while later chunks
+      // are still being generated and routed.
+      ABR_RETURN_IF_ERROR(dev.BeginStep(cur_end));
+      Status submitted = submit_pieces(cur, cur_end);
+      Status ended = dev.EndStep();
+      ABR_RETURN_IF_ERROR(submitted);
+      ABR_RETURN_IF_ERROR(ended);
+      ++streamed_;
+    } else {
+      ABR_RETURN_IF_ERROR(submit_pieces(cur, cur_end));
+      ABR_RETURN_IF_ERROR(dev.AdvanceTo(cur_end));
+    }
     cur = cur_end;
   }
 
@@ -59,6 +79,8 @@ StatusOr<DayMetrics> ArrayDayRunner::RunMeasuredDay() {
   DayMetrics metrics =
       DayMetrics::From(dev.ReadStatsMerged(/*clear=*/true), dev.seek_model());
   metrics.barriers = dev.barriers() - barriers_before;
+  metrics.barrier_stall_wall = dev.barrier_stall_wall() - stall_before;
+  metrics.barrier_merge_wall = dev.barrier_merge_wall() - merge_before;
   // Every member ran the same span; the array's disk-time budget for idle
   // accounting is the span times the member count.
   metrics.elapsed = (*quiesce - start) * dev.members();

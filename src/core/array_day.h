@@ -25,12 +25,17 @@ struct ArrayDayConfig {
 
 /// Runs measured days of synthetic traffic against an ArrayDevice with
 /// the paper's daily protocol (clear stats, traffic, quiesce, snapshot).
-/// Unlike ShardedDayRunner there is no generation pipeline: chunks are
-/// generated and submitted sequentially, which keeps shortest-seek mirror
-/// routing deterministic for any member/thread count. On an
-/// adaptive-epoch RAID0 device, quiet stretches batch whole chunks ahead
-/// of one AdvanceTo — gated by ArrayDevice::PlanSubmitHorizon so the
-/// result stays bit-identical to the chunk-at-a-time protocol.
+/// Traffic is generated one chunk at a time on a day-relative grid, so the
+/// request sequence never depends on windowing or thread count.
+///
+/// On an adaptive-epoch RAID0 device, quiet stretches fuse whole chunks
+/// into one window, as far as ArrayDevice::PlanSubmitHorizon proves no
+/// member can fail. Such a window is streamed when one step covers it:
+/// the runner calls BeginStep, then generates and submits chunk by chunk
+/// while the members step the grids already covered, then EndStep. Every
+/// other window — fixed epochs, RAID1 (mirror reads route on live head
+/// positions), a degraded or faulting array — is submitted whole and then
+/// advanced. Both orders give bit-identical results.
 class ArrayDayRunner {
  public:
   /// `device` must be Start()ed and outlive the runner.
@@ -49,6 +54,8 @@ class ArrayDayRunner {
     return last_arrange_;
   }
   std::int64_t requests_generated() const { return requests_; }
+  /// Windows run as streamed steps so far.
+  std::int64_t streamed_windows() const { return streamed_; }
   std::int32_t day() const { return day_; }
   array::ArrayDevice& device() { return *device_; }
 
@@ -59,6 +66,7 @@ class ArrayDayRunner {
   workload::Trace trace_;
   placement::ArrangeResult last_arrange_;
   std::int64_t requests_ = 0;
+  std::int64_t streamed_ = 0;
   std::int32_t day_ = 0;
 };
 

@@ -57,6 +57,22 @@ class StripeMap {
     return (block / (chunk_ * members_)) * chunk_ + block % chunk_;
   }
 
+  /// MemberOf and LocalOf together, sharing the divisions — the per-record
+  /// routing step of the array's member workers.
+  struct Route {
+    std::int32_t member;
+    BlockNo local;
+  };
+  Route RouteOf(BlockNo block) const {
+    assert(Contains(block));
+    if (chunk_ == 1) {
+      return {static_cast<std::int32_t>(block % members_), block / members_};
+    }
+    const BlockNo q = block / chunk_;
+    return {static_cast<std::int32_t>(q % members_),
+            (q / members_) * chunk_ + (block - q * chunk_)};
+  }
+
   /// Inverse: the virtual block that member `member` serves as `local`.
   BlockNo GlobalOf(std::int32_t member, BlockNo local) const {
     assert(member >= 0 && member < members_);

@@ -76,6 +76,17 @@ TEST(StripeMapTest, RoundTripCoversEveryBlockExactlyOnce) {
   for (std::int64_t b = 0; b < total; ++b) EXPECT_EQ(seen[b], 1);
 }
 
+TEST(StripeMapTest, RouteOfMatchesMemberOfAndLocalOf) {
+  for (const std::int64_t chunk : {1, 3, 4}) {
+    StripeMap map(4, chunk, 131);
+    for (BlockNo b = 0; b < 131; ++b) {
+      const StripeMap::Route r = map.RouteOf(b);
+      EXPECT_EQ(r.member, map.MemberOf(b)) << "chunk " << chunk;
+      EXPECT_EQ(r.local, map.LocalOf(b)) << "chunk " << chunk;
+    }
+  }
+}
+
 TEST(StripeMapTest, LocalCountsHandlePartialTailStripe) {
   // total = 2 full stripes (24) + a tail of 7: member 0 gets a full
   // chunk (4), member 1 the remaining 3, member 2 nothing extra.

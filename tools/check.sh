@@ -212,9 +212,12 @@ else
   echo "== tsan: thread_pool_test + parallel_runner_test + bench_e2e --quick =="
   cmake -B build-tsan -S . -DABR_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j --target thread_pool_test parallel_runner_test \
-    advance_kernel_diff_test bench_e2e abrsim >/dev/null
+    advance_kernel_diff_test array_stream_test bench_e2e abrsim >/dev/null
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/thread_pool_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/parallel_runner_test
+  # Streamed RAID0 days on 2 and 4 workers, and the shared submission log
+  # read by several threads while it is appended to.
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/array_stream_test
   # Batched-vs-stepped twins through the fleet engine: the batched submit
   # path hands whole request runs across the worker handoff.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/advance_kernel_diff_test
@@ -247,6 +250,11 @@ else
   # pool with a member death and resync inside each killed run.
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tools/abrsim onoff --array=raid0:4 --jobs=4 \
+    --day-minutes=4 --days=1
+  # Adaptive epochs stream the RAID0 day: member workers read and route
+  # the shared submission log while the coordinator is still appending.
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tools/abrsim onoff --array=raid0:4 --jobs=4 --epoch=auto \
     --day-minutes=4 --days=1
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tools/abrsim crashday --array=raid1:2 --kill-member \
